@@ -602,10 +602,9 @@ impl Machine {
             data,
             tone: ToneChannel::new(config.tone_table_capacity),
             cores: (0..config.cores).map(|_| Core::new()).collect(),
-            // Lockstep phases park one Resume per core on a single
-            // cycle, so size each wheel slot for a full core set up
-            // front rather than growing every slot mid-run.
-            queue: EventQueue::with_slot_capacity(config.cores.next_power_of_two()),
+            // The wheel's node arena grows to the peak number of
+            // in-flight events (about one per core) and is reused after.
+            queue: EventQueue::new(),
             bm_waiters: vec![Vec::new(); config.bm_entries],
             tone_init: vec![ToneInitPending::default(); config.bm_entries],
             rng: DetRng::new(config.seed ^ 0xB0FF_0FF5),
@@ -1074,23 +1073,27 @@ impl Machine {
         }
         let deadline = Cycle(max_cycles);
         let mut outcome = RunOutcome::Completed;
-        while let Some((at, ev)) = self.queue.pop() {
-            if at > deadline {
-                if matches!(ev, Event::FaultAudit) {
-                    // The audit heartbeat alone must not turn a finished
-                    // run into CycleLimit; the end-of-run audit below
-                    // still reports any outstanding divergence.
-                    if let Some(f) = self.fault.as_mut() {
-                        f.audit_dequeued();
+        loop {
+            // Events past the deadline stay queued in place, so a later
+            // run() continues exactly where this one stopped.
+            let Some((at, ev)) = self.queue.pop_due(deadline) else {
+                match self.queue.peek() {
+                    Some((_, Event::FaultAudit)) => {
+                        // The audit heartbeat alone must not turn a
+                        // finished run into CycleLimit; the end-of-run
+                        // audit below still reports any outstanding
+                        // divergence.
+                        self.queue.pop();
+                        if let Some(f) = self.fault.as_mut() {
+                            f.audit_dequeued();
+                        }
+                        continue;
                     }
-                    continue;
+                    Some(_) => outcome = RunOutcome::CycleLimit,
+                    None => {}
                 }
-                // Not yet due: put it back so a later run() continues
-                // exactly where this one stopped.
-                self.queue.push(at, ev);
-                outcome = RunOutcome::CycleLimit;
                 break;
-            }
+            };
             if matches!(ev, Event::FaultAudit)
                 && !self.cores.iter().any(|c| {
                     matches!(

@@ -1,5 +1,7 @@
 //! The shared memory system: distributed L2 directory + private L1s.
 
+use std::collections::hash_map::Entry;
+
 use wisync_noc::{Mesh, NodeId};
 use wisync_sim::{Cycle, FxHashMap, Histogram};
 
@@ -67,13 +69,19 @@ impl Iterator for SharerIter {
     }
 }
 
-/// Directory entry for one line resident in the (inclusive) L2.
+/// Directory entry for one line resident in the (inclusive) L2. An
+/// entry exists from the line's first directory transaction on, so a
+/// vacant entry is a cold miss.
 #[derive(Clone, Copy, Debug, Default)]
 struct DirEntry {
     /// Node whose L1 holds the line in E/M/O (supplies data on forwards).
     owner: Option<usize>,
     /// Nodes whose L1s hold a readable copy (includes the owner).
     sharers: SharerSet,
+    /// Per-line transaction serialization: the directory finishes one
+    /// coherence transaction on a line (at this cycle) before starting
+    /// the next.
+    busy: Cycle,
 }
 
 /// Words per backing-store page (32 KB of simulated memory).
@@ -182,9 +190,6 @@ pub struct MemSystem {
     mesh: Mesh,
     l1: Vec<L1Cache>,
     dir: FxHashMap<u64, DirEntry>,
-    /// Per-line transaction serialization: the directory finishes one
-    /// coherence transaction on a line before starting the next.
-    line_busy: FxHashMap<u64, Cycle>,
     data: WordStore,
     waiters: FxHashMap<u64, Vec<NodeId>>,
     stats: MemStats,
@@ -204,7 +209,6 @@ impl MemSystem {
             mesh,
             l1,
             dir: FxHashMap::default(),
-            line_busy: FxHashMap::default(),
             data: WordStore::default(),
             waiters: FxHashMap::default(),
             stats: MemStats::default(),
@@ -323,10 +327,16 @@ impl MemSystem {
         self.stats.dir_transactions += 1;
         let home = self.mesh.home_bank(line);
         let arrival = now + l1_rt + self.mesh.latency(core, home);
-        let start = arrival.max_with(self.line_free(line));
-        let cold = self.cold_penalty(line, home);
-        let entry = self.dir.entry(line).or_default();
-        let done;
+        let (entry, cold) = dir_entry(
+            &mut self.dir,
+            &mut self.stats,
+            &self.config,
+            &self.mesh,
+            line,
+            home,
+        );
+        let start = arrival.max_with(entry.busy);
+        let (done, state);
         match entry.owner {
             Some(o) if o != c => {
                 // Dirty/exclusive elsewhere: forward to the owner, which
@@ -338,7 +348,6 @@ impl MemSystem {
                 done = start + self.config.l2_rt + fwd;
                 let owner_state = self.l1[o].state(line);
                 let keeps_ownership = matches!(owner_state, LineState::Modified | LineState::Owned);
-                let entry = self.dir.entry(line).or_default();
                 if keeps_ownership {
                     self.l1[o].insert(line, LineState::Owned);
                 } else {
@@ -346,26 +355,23 @@ impl MemSystem {
                     self.l1[o].insert(line, LineState::Shared);
                     entry.owner = None;
                 }
-                let entry = self.dir.entry(line).or_default();
-                entry.sharers.insert(c);
-                self.fill_l1(c, line, LineState::Shared);
+                state = LineState::Shared;
             }
             _ => {
                 // Clean in L2 (or this core is the stale owner after an
                 // eviction race): supply from the home bank.
                 done = start + cold + self.config.l2_rt + self.mesh.latency(home, core);
-                let no_sharers = entry.sharers.is_empty();
-                let state = if no_sharers {
+                state = if entry.sharers.is_empty() {
                     entry.owner = Some(c);
                     LineState::Exclusive
                 } else {
                     LineState::Shared
                 };
-                entry.sharers.insert(c);
-                self.fill_l1(c, line, state);
             }
         }
-        self.line_busy.insert(line, done);
+        entry.sharers.insert(c);
+        entry.busy = done;
+        self.fill_l1(c, line, state);
         MemOutcome {
             value,
             complete_at: done,
@@ -408,28 +414,34 @@ impl MemSystem {
             self.stats.dir_transactions += 1;
             let home = self.mesh.home_bank(line);
             let arrival = now + l1_rt + self.mesh.latency(core, home);
-            let start = arrival.max_with(self.line_free(line));
-            let cold = self.cold_penalty(line, home);
-            let entry = self.dir.entry(line).or_default();
+            let (entry, cold) = dir_entry(
+                &mut self.dir,
+                &mut self.stats,
+                &self.config,
+                &self.mesh,
+                line,
+                home,
+            );
+            let start = arrival.max_with(entry.busy);
             // Everyone except the requester must drop their copy.
             // `SharerSet` is `Copy`, so the target set is a register-sized
             // copy rather than a per-write `Vec` allocation.
             let owner = entry.owner.filter(|&o| o != c);
             let mut targets = entry.sharers;
             targets.remove(c);
-            let inv_lat = self.invalidation_latency(home, &targets, owner, core);
+            let inv_lat =
+                invalidation_latency(&self.config, &self.mesh, home, &targets, owner, core);
+            let grant = self.mesh.latency(home, core);
+            complete_at = start + cold + self.config.l2_rt + inv_lat + grant;
+            entry.sharers.clear();
+            entry.sharers.insert(c);
+            entry.owner = Some(c);
+            entry.busy = complete_at;
             self.stats.invalidations += targets.len() as u64;
             for t in targets.iter() {
                 self.l1[t].invalidate(line);
             }
-            let entry = self.dir.entry(line).or_default();
-            entry.sharers.clear();
-            entry.sharers.insert(c);
-            entry.owner = Some(c);
-            let grant = self.mesh.latency(home, core);
-            complete_at = start + cold + self.config.l2_rt + inv_lat + grant;
             self.fill_l1(c, line, LineState::Modified);
-            self.line_busy.insert(line, complete_at);
         }
 
         if writes {
@@ -445,57 +457,6 @@ impl MemSystem {
             complete_at,
             rmw_success: success,
             woken,
-        }
-    }
-
-    /// Latency to invalidate all other copies (and pull dirty data from an
-    /// owner). Invalidations fly in parallel; the directory waits for the
-    /// slowest acknowledgment. Baseline+ replaces the unicast storm with
-    /// one virtual-tree multicast plus an ack-combining reduction.
-    fn invalidation_latency(
-        &self,
-        home: NodeId,
-        sharer_targets: &SharerSet,
-        owner: Option<usize>,
-        requester: NodeId,
-    ) -> u64 {
-        if sharer_targets.is_empty() && owner.is_none() {
-            return 0;
-        }
-        let mut lat = 0u64;
-        if !sharer_targets.is_empty() {
-            if self.config.tree_multicast {
-                lat = self.mesh.broadcast_latency(home) + self.mesh.reduction_latency(home);
-            } else {
-                for t in sharer_targets.iter() {
-                    let rt = 2 * self.mesh.latency(home, NodeId(t));
-                    lat = lat.max(rt);
-                }
-            }
-        }
-        if let Some(o) = owner {
-            // The owner also forwards the dirty data to the requester.
-            let fetch = self.mesh.latency(home, NodeId(o))
-                + self.config.l1_rt
-                + self.mesh.latency(NodeId(o), requester);
-            lat = lat.max(fetch);
-        }
-        lat
-    }
-
-    fn line_free(&self, line: u64) -> Cycle {
-        self.line_busy.get(&line).copied().unwrap_or(Cycle::ZERO)
-    }
-
-    /// Extra latency if the line is not yet resident in the L2 (cold miss
-    /// to off-chip memory via the nearest controller).
-    fn cold_penalty(&mut self, line: u64, home: NodeId) -> u64 {
-        if self.dir.contains_key(&line) {
-            0
-        } else {
-            self.stats.cold_misses += 1;
-            let (_, hops) = self.mesh.nearest_memory_controller(home);
-            self.config.mem_rt + 2 * hops * self.mesh.hop_latency()
         }
     }
 
@@ -515,6 +476,10 @@ impl MemSystem {
     }
 
     fn take_waiters(&mut self, line: u64, at: Cycle, writer: NodeId) -> Vec<(NodeId, Cycle)> {
+        if self.waiters.is_empty() {
+            // No core spin-waits anywhere: skip the probe.
+            return Vec::new();
+        }
         match self.waiters.remove(&line) {
             Some(list) => list
                 .into_iter()
@@ -530,8 +495,8 @@ impl MemSystem {
         self.l1[core.as_usize()].state(line)
     }
 
-    /// Serializes the full memory-system state: every L1, the directory,
-    /// line serialization times, backing-store contents, spin-waiter
+    /// Serializes the full memory-system state: every L1, the directory
+    /// and its line serialization times, backing-store contents, spin-waiter
     /// lists, and statistics. Hash maps are written in sorted key order
     /// so identical states produce identical bytes regardless of
     /// insertion history. The config and mesh are *not* stored — the
@@ -549,7 +514,7 @@ impl MemSystem {
         let mut dir: Vec<_> = self.dir.iter().collect();
         dir.sort_unstable_by_key(|(line, _)| **line);
         w.seq(dir.len());
-        for (line, e) in dir {
+        for &(line, e) in &dir {
             w.u64(*line);
             w.option(e.owner, |w, o| w.usize(o));
             for word in e.sharers.bits {
@@ -557,12 +522,12 @@ impl MemSystem {
             }
         }
 
-        let mut busy: Vec<_> = self.line_busy.iter().collect();
-        busy.sort_unstable_by_key(|(line, _)| **line);
-        w.seq(busy.len());
-        for (line, at) in busy {
+        // Serialization times follow as a second table over the same
+        // sorted lines.
+        w.seq(dir.len());
+        for (line, e) in dir {
             w.u64(*line);
-            w.u64(at.as_u64());
+            w.u64(e.busy.as_u64());
         }
 
         let touched: Vec<_> = self
@@ -627,6 +592,7 @@ impl MemSystem {
             *slot = L1Cache::read_snap(&sys.config, r)?;
         }
 
+        let mut lines = Vec::new();
         for _ in 0..r.seq()? {
             let line = r.u64()?;
             let owner = r.option(|r| r.usize())?;
@@ -634,18 +600,29 @@ impl MemSystem {
             for word in &mut bits {
                 *word = r.u64()?;
             }
+            lines.push(line);
             sys.dir.insert(
                 line,
                 DirEntry {
                     owner,
                     sharers: SharerSet { bits },
+                    busy: Cycle::ZERO,
                 },
             );
         }
 
-        for _ in 0..r.seq()? {
-            let line = r.u64()?;
-            sys.line_busy.insert(line, Cycle(r.u64()?));
+        // Every directory line has exactly one serialization time, listed
+        // in the same order.
+        const BUSY_MISMATCH: &str = "line serialization table does not match the directory";
+        if r.seq()? != lines.len() {
+            return Err(SnapError::Invalid(BUSY_MISMATCH));
+        }
+        for line in lines {
+            if r.u64()? != line {
+                return Err(SnapError::Invalid(BUSY_MISMATCH));
+            }
+            let busy = Cycle(r.u64()?);
+            sys.dir.get_mut(&line).expect("inserted above").busy = busy;
         }
 
         for _ in 0..r.seq()? {
@@ -684,6 +661,65 @@ impl MemSystem {
         sys.stats.latency = Histogram::read_snap(r)?;
         Ok(sys)
     }
+}
+
+/// The directory entry of `line` — one hash probe per transaction — and
+/// the extra latency if the line is not yet resident in the L2 (a vacant
+/// entry: cold miss to off-chip memory via the nearest controller).
+/// A free function over the fields it needs, so the entry can stay
+/// borrowed while the caller reads the mesh and updates the L1s.
+fn dir_entry<'d>(
+    dir: &'d mut FxHashMap<u64, DirEntry>,
+    stats: &mut MemStats,
+    config: &MemConfig,
+    mesh: &Mesh,
+    line: u64,
+    home: NodeId,
+) -> (&'d mut DirEntry, u64) {
+    match dir.entry(line) {
+        Entry::Occupied(e) => (e.into_mut(), 0),
+        Entry::Vacant(v) => {
+            stats.cold_misses += 1;
+            let (_, hops) = mesh.nearest_memory_controller(home);
+            let penalty = config.mem_rt + 2 * hops * mesh.hop_latency();
+            (v.insert(DirEntry::default()), penalty)
+        }
+    }
+}
+
+/// Latency to invalidate all other copies (and pull dirty data from an
+/// owner). Invalidations fly in parallel; the directory waits for the
+/// slowest acknowledgment. Baseline+ replaces the unicast storm with one
+/// virtual-tree multicast plus an ack-combining reduction.
+fn invalidation_latency(
+    config: &MemConfig,
+    mesh: &Mesh,
+    home: NodeId,
+    sharer_targets: &SharerSet,
+    owner: Option<usize>,
+    requester: NodeId,
+) -> u64 {
+    if sharer_targets.is_empty() && owner.is_none() {
+        return 0;
+    }
+    let mut lat = 0u64;
+    if !sharer_targets.is_empty() {
+        if config.tree_multicast {
+            lat = mesh.broadcast_latency(home) + mesh.reduction_latency(home);
+        } else {
+            for t in sharer_targets.iter() {
+                let rt = 2 * mesh.latency(home, NodeId(t));
+                lat = lat.max(rt);
+            }
+        }
+    }
+    if let Some(o) = owner {
+        // The owner also forwards the dirty data to the requester.
+        let fetch =
+            mesh.latency(home, NodeId(o)) + config.l1_rt + mesh.latency(NodeId(o), requester);
+        lat = lat.max(fetch);
+    }
+    lat
 }
 
 #[cfg(test)]
@@ -985,6 +1021,29 @@ mod tests {
         let bytes = w.finish();
         let mut r = wisync_sim::SnapReader::new(&bytes[..bytes.len() / 2]);
         assert!(MemSystem::read_snap(MemConfig::default(), Mesh::new(4, 4), &mut r).is_err());
+    }
+
+    #[test]
+    fn busy_table_must_list_the_directory_lines() {
+        let mut m = sys(4);
+        let addr = 0xABCD_EF00;
+        m.access(NodeId(1), addr, MemOp::Store(1), Cycle(0));
+        let mut w = wisync_sim::SnapWriter::new();
+        m.write_snap(&mut w);
+        let mut bytes = w.finish();
+        // The line is written twice: in the directory table, then in the
+        // serialization-time table. Name another line in the second.
+        let key = line_of(addr).to_le_bytes();
+        let at: Vec<usize> = (0..bytes.len() - 7)
+            .filter(|&i| bytes[i..i + 8] == key)
+            .collect();
+        assert_eq!(at.len(), 2);
+        bytes[at[1]] ^= 1;
+        let mut r = wisync_sim::SnapReader::new(&bytes);
+        assert!(matches!(
+            MemSystem::read_snap(MemConfig::default(), Mesh::new(4, 4), &mut r),
+            Err(wisync_sim::SnapError::Invalid(_))
+        ));
     }
 
     #[test]

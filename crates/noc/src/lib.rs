@@ -88,6 +88,9 @@ pub struct Mesh {
     width: usize,
     height: usize,
     hop_latency: u64,
+    /// `(x, y)` of every node, so distance queries look coordinates up
+    /// instead of dividing by the width on every message.
+    xy: Box<[(u32, u32)]>,
 }
 
 impl Mesh {
@@ -107,11 +110,18 @@ impl Mesh {
         assert!(hop_latency > 0, "hop latency must be positive");
         let width = (nodes as f64).sqrt().ceil() as usize;
         let height = nodes.div_ceil(width);
+        let xy = (0..nodes)
+            .map(|i| {
+                let axis = |v: usize| u32::try_from(v).expect("mesh coordinate fits u32");
+                (axis(i % width), axis(i / width))
+            })
+            .collect();
         Mesh {
             nodes,
             width,
             height,
             hop_latency,
+            xy,
         }
     }
 
@@ -153,17 +163,23 @@ impl Mesh {
     /// Panics if `node` is out of range.
     pub fn coord(&self, node: NodeId) -> Coord {
         assert!(node.0 < self.nodes, "node {node} out of range");
+        let (x, y) = self.xy[node.0];
         Coord {
-            x: node.0 % self.width,
-            y: node.0 / self.width,
+            x: x as usize,
+            y: y as usize,
         }
     }
 
     /// Manhattan (XY-routing) hop count between two nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of range.
+    #[inline]
     pub fn hops(&self, a: NodeId, b: NodeId) -> u64 {
-        let ca = self.coord(a);
-        let cb = self.coord(b);
-        (ca.x.abs_diff(cb.x) + ca.y.abs_diff(cb.y)) as u64
+        let (ax, ay) = self.xy[a.0];
+        let (bx, by) = self.xy[b.0];
+        u64::from(ax.abs_diff(bx)) + u64::from(ay.abs_diff(by))
     }
 
     /// One-way point-to-point latency in cycles between two nodes.
@@ -171,6 +187,7 @@ impl Mesh {
     /// Zero-hop (same node) messages still cost one hop of latency for
     /// network injection/ejection, matching the local/remote asymmetry in
     /// Table 1's round-trip numbers.
+    #[inline]
     pub fn latency(&self, a: NodeId, b: NodeId) -> u64 {
         let h = self.hops(a, b);
         if h == 0 {

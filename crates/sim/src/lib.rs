@@ -7,7 +7,7 @@
 //!   1 GHz clock),
 //! - [`EventQueue`], a deterministic priority queue of timestamped events
 //!   with FIFO tie-breaking for events scheduled at the same cycle
-//!   (a bucketed timing wheel; [`ReferenceEventQueue`] is the heap-based
+//!   (a two-level timing wheel; [`ReferenceEventQueue`] is the heap-based
 //!   executable specification it is differentially tested against),
 //! - [`FxHashMap`]/[`FxHashSet`], `HashMap`/`HashSet` aliases using the
 //!   in-repo deterministic [`hash::FxHasher`] — the only hasher hot-path

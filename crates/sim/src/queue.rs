@@ -6,33 +6,42 @@
 //! whole-machine simulations replayable: two runs with the same
 //! configuration produce identical cycle counts.
 //!
-//! * [`EventQueue`] — the production queue: a bucketed timing wheel
-//!   sized for the simulator's dominant near-future latencies (memory
-//!   round-trips, wireless slots, backoff waits — a few to a few hundred
-//!   cycles), with a binary-heap overflow for far events. Push and pop
-//!   are O(1) on the hot path.
+//! * [`EventQueue`] — the production queue: a two-level timing wheel
+//!   over one node arena. One-cycle slots cover the current and next
+//!   1024-cycle block (memory round-trips, wireless slots, backoff
+//!   waits); one-block buckets cover the next ~1M cycles (watchdogs,
+//!   audits, long backoff chains); binary heaps hold the rare events
+//!   beyond that and pushes into the past. Push and pop are O(1) on the
+//!   hot path and allocate nothing once the arena has grown.
 //! * [`ReferenceEventQueue`] — the original `BinaryHeap` queue, kept as
 //!   the executable specification. The differential property test in
 //!   `tests/queue_differential.rs` drives both with arbitrary
 //!   push/pop/clear interleavings and asserts identical pop sequences.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::Cycle;
 
-/// Number of near-future wheel slots. One slot per cycle, so the wheel
-/// covers `[cur, cur + WHEEL_SLOTS)`. The model's dominant latencies are
-/// 2–110 cycles (L1/L2/mesh/wireless round-trips) and its longest common
-/// waits are the exponential-backoff draws, capped at `2^10 = 1024`
-/// cycles — so 1024 slots keep virtually every event out of the overflow
-/// heap. Must be a power of two.
-const WHEEL_SLOTS: usize = 1024;
-const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
-const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
+/// log2 of the block length: a block is `1 << BLOCK_BITS` cycles, the
+/// unit of the coarse level and of the fine level's window.
+const BLOCK_BITS: u32 = 10;
+/// Fine-level slots: one per cycle of the current and the next block, so
+/// every push less than one block ahead of the clock is a fine hit.
+const FINE_SLOTS: usize = 2 << BLOCK_BITS;
+const FINE_MASK: u64 = FINE_SLOTS as u64 - 1;
+const FINE_WORDS: usize = FINE_SLOTS / 64;
+/// Coarse-level buckets: one per block, covering the 1024 blocks after
+/// the fine window (~1M cycles).
+const COARSE_BUCKETS: u64 = 1024;
+const COARSE_MASK: u64 = COARSE_BUCKETS - 1;
+const COARSE_WORDS: usize = COARSE_BUCKETS as usize / 64;
+/// Null arena index (empty list, end of list, empty free list).
+const NIL: u32 = u32::MAX;
 
 /// A deterministic priority queue of `(Cycle, E)` events, implemented as
-/// a bucketed timing wheel with a heap overflow for far-future events.
+/// a two-level timing wheel over a node arena, with heaps for events
+/// beyond the wheel and for pushes into the past.
 ///
 /// Events pop in increasing cycle order; events scheduled for the same
 /// cycle pop in the order they were pushed. See the module docs for the
@@ -52,31 +61,139 @@ const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// `wheel[c & WHEEL_MASK]` holds the events of cycle `c` for
-    /// `c ∈ [cur, cur + WHEEL_SLOTS)`, in push order (front = oldest).
-    /// Capacity is retained when a slot drains, so steady-state pushes
-    /// never allocate.
-    wheel: Vec<VecDeque<E>>,
-    /// Occupancy bitmap over wheel slots, one bit per slot.
-    occupied: [u64; WHEEL_WORDS],
-    /// Second-level bitmap: bit `i` set iff `occupied[i] != 0`. Lets
-    /// `wheel_min` jump straight to the next occupied word instead of
-    /// scanning all of `occupied` when the wheel is sparse.
-    summary: u64,
-    /// Wheel base cycle: no wheel event is earlier than `cur`, and the
-    /// overflow holds only events at `cur + WHEEL_SLOTS` or later. `cur`
-    /// never moves backwards.
+    /// Every wheel event lives in one arena node; levels link nodes by
+    /// index, and popped nodes go on the free list for reuse.
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list (linked through `Node::next`).
+    free: u32,
+    /// `fine[c & FINE_MASK]` holds the events of cycle `c` for `c` in
+    /// `[cur, (block(cur) + 2) << BLOCK_BITS)`, in push order.
+    fine: Level<FINE_WORDS>,
+    /// `coarse[b & COARSE_MASK]` holds the events of block `b` for `b` in
+    /// `[block(cur) + 2, block(cur) + 2 + COARSE_BUCKETS)`, in push order
+    /// (cycles interleaved).
+    coarse: Level<COARSE_WORDS>,
+    /// The wheel's clock: no wheel event is earlier than `cur`, and the
+    /// level windows above are anchored at its block. `cur` never moves
+    /// backwards.
     cur: u64,
     /// Events pushed for cycles earlier than `cur` (possible through the
     /// public API, never produced by the machine's event loop).
     past: BinaryHeap<Reverse<Entry<E>>>,
-    /// Events at `cur + WHEEL_SLOTS` or later.
-    overflow: BinaryHeap<Reverse<Entry<E>>>,
-    /// FIFO tie-break for the two heaps (wheel slots are FIFO by
-    /// construction: within the live window, appends happen in push
-    /// order — see `promote`).
+    /// Events beyond the coarse window.
+    far: BinaryHeap<Reverse<Entry<E>>>,
+    /// FIFO tie-break for the two heaps (wheel lists are FIFO by
+    /// construction — see `advance`).
     next_seq: u64,
     len: usize,
+}
+
+/// One arena node: a wheel event, its cycle, and the next node of its
+/// list. `event` is `None` only while the node is on the free list.
+#[derive(Debug)]
+struct Node<E> {
+    at: u64,
+    next: u32,
+    event: Option<E>,
+}
+
+/// An intrusive FIFO list of arena nodes (`head == NIL` when empty).
+#[derive(Clone, Copy, Debug)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
+
+/// One wheel level: `WORDS * 64` lists with an occupancy bitmap and a
+/// summary word (bit `i` set iff `occupied[i] != 0`), so finding the next
+/// non-empty list costs a few word tests, not a probe per list.
+#[derive(Debug)]
+struct Level<const WORDS: usize> {
+    lists: Box<[List]>,
+    occupied: [u64; WORDS],
+    summary: u64,
+}
+
+impl<const WORDS: usize> Level<WORDS> {
+    const SLOTS: usize = WORDS * 64;
+
+    fn new() -> Self {
+        const { assert!(WORDS > 0 && WORDS < 64, "summary must fit one word") };
+        Level {
+            lists: vec![EMPTY; Self::SLOTS].into_boxed_slice(),
+            occupied: [0; WORDS],
+            summary: 0,
+        }
+    }
+
+    /// The first non-empty list at or after `start` in ring order
+    /// (`start`, `start + 1`, …, wrapping through `SLOTS - 1` to
+    /// `start - 1`).
+    fn first_from(&self, start: usize) -> Option<usize> {
+        let (sw, sb) = (start / 64, start % 64);
+        // First word: bits at or above the start bit.
+        let w = self.occupied[sw] & (!0u64 << sb);
+        if w != 0 {
+            return Some(sw * 64 + w.trailing_zeros() as usize);
+        }
+        // Other occupied words, preferring those after `sw` (earlier in
+        // the ring order), located through the summary.
+        let others = self.summary & !(1 << sw);
+        if others != 0 {
+            let after = others & (!0u64 << (sw + 1));
+            let wi = if after != 0 {
+                after.trailing_zeros()
+            } else {
+                others.trailing_zeros()
+            } as usize;
+            return Some(wi * 64 + self.occupied[wi].trailing_zeros() as usize);
+        }
+        // Wrapped back to the first word: bits below the start bit.
+        let w = self.occupied[sw] & !(!0u64 << sb);
+        (w != 0).then(|| sw * 64 + w.trailing_zeros() as usize)
+    }
+
+    /// Takes list `slot` whole, leaving it empty.
+    fn take(&mut self, slot: usize) -> List {
+        let list = std::mem::replace(&mut self.lists[slot], EMPTY);
+        if list.head != NIL {
+            self.clear_bit(slot);
+        }
+        list
+    }
+
+    fn clear_bit(&mut self, slot: usize) {
+        let word = slot / 64;
+        self.occupied[word] &= !(1 << (slot % 64));
+        if self.occupied[word] == 0 {
+            self.summary &= !(1 << word);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.lists.fill(EMPTY);
+        self.occupied = [0; WORDS];
+        self.summary = 0;
+    }
+}
+
+/// Appends node `idx` (whose `next` is `NIL`) to list `slot` of `level`.
+#[inline(always)]
+fn append<E, const W: usize>(level: &mut Level<W>, nodes: &mut [Node<E>], slot: usize, idx: u32) {
+    let list = &mut level.lists[slot];
+    if list.head == NIL {
+        list.head = idx;
+        level.occupied[slot / 64] |= 1 << (slot % 64);
+        level.summary |= 1 << (slot / 64);
+    } else {
+        nodes[list.tail as usize].next = idx;
+    }
+    list.tail = idx;
 }
 
 #[derive(Debug)]
@@ -106,191 +223,278 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// Block number of cycle `t`.
+#[inline]
+fn block(t: u64) -> u64 {
+    t >> BLOCK_BITS
+}
+
+/// The fine slot of cycle `t`.
+#[inline]
+fn fine_slot(t: u64) -> usize {
+    (t & FINE_MASK) as usize
+}
+
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_slot_capacity(0)
-    }
-
-    /// Creates an empty queue whose wheel slots each start with room for
-    /// `cap` events.
-    ///
-    /// Slot deques retain their capacity once grown, but the wheel wraps
-    /// through all of its slots as time advances, so with lazy capacity
-    /// every slot pays its own geometric-growth reallocations early in a
-    /// run. A caller that knows the steady-state occupancy (the machine:
-    /// roughly one event per core, as lockstep phases land whole core
-    /// sets on one cycle) can pre-size the slots and keep reallocation
-    /// off the hot path entirely.
-    pub fn with_slot_capacity(cap: usize) -> Self {
         EventQueue {
-            wheel: (0..WHEEL_SLOTS)
-                .map(|_| VecDeque::with_capacity(cap))
-                .collect(),
-            occupied: [0; WHEEL_WORDS],
-            summary: 0,
+            nodes: Vec::new(),
+            free: NIL,
+            fine: Level::new(),
+            coarse: Level::new(),
             cur: 0,
             past: BinaryHeap::new(),
-            overflow: BinaryHeap::new(),
+            far: BinaryHeap::new(),
             next_seq: 0,
             len: 0,
         }
     }
 
+    /// First block of the coarse window.
     #[inline]
-    fn set_occupied(&mut self, slot: usize) {
-        self.occupied[slot / 64] |= 1 << (slot % 64);
-        self.summary |= 1 << (slot / 64);
+    fn coarse_base(&self) -> u64 {
+        block(self.cur) + 2
     }
 
+    /// Stores `event` in an arena node (reusing a freed one if any).
+    #[inline(always)]
+    fn alloc(&mut self, at: u64, event: E) -> u32 {
+        let node = Node {
+            at,
+            next: NIL,
+            event: Some(event),
+        };
+        if self.free != NIL {
+            let idx = self.free;
+            let slot = &mut self.nodes[idx as usize];
+            self.free = slot.next;
+            *slot = node;
+            idx
+        } else {
+            let idx = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("event arena exceeds u32 indices");
+            self.nodes.push(node);
+            idx
+        }
+    }
+
+    /// Links a new node for `(t, event)` into the wheel level whose
+    /// window covers `t`; `t` must be at or after `cur` and inside the
+    /// coarse window.
     #[inline]
-    fn clear_occupied(&mut self, slot: usize) {
-        let word = slot / 64;
-        self.occupied[word] &= !(1 << (slot % 64));
-        if self.occupied[word] == 0 {
-            self.summary &= !(1 << word);
+    fn link(&mut self, t: u64, event: E) {
+        let idx = self.alloc(t, event);
+        if block(t) < self.coarse_base() {
+            append(&mut self.fine, &mut self.nodes, fine_slot(t), idx);
+        } else {
+            let bucket = (block(t) & COARSE_MASK) as usize;
+            append(&mut self.coarse, &mut self.nodes, bucket, idx);
         }
     }
 
     /// Schedules `event` to fire at cycle `at`.
-    #[inline]
+    #[inline(always)]
     pub fn push(&mut self, at: Cycle, event: E) {
+        let t = at.as_u64();
+        // Fast path, inlined into every caller: less than one block ahead
+        // (and not in the past: a smaller `t` would make the wrapping
+        // difference huge), so inside the fine window, which reaches past
+        // `cur + 1024`; and a freed node to reuse.
+        if t.wrapping_sub(self.cur) < 1 << BLOCK_BITS && self.free != NIL {
+            self.len += 1;
+            let idx = self.alloc(t, event);
+            append(&mut self.fine, &mut self.nodes, fine_slot(t), idx);
+        } else {
+            self.push_slow(at, event);
+        }
+    }
+
+    /// [`EventQueue::push`] past its fast path: the past heap, a fine or
+    /// coarse list, or the far heap.
+    #[inline(never)]
+    fn push_slow(&mut self, at: Cycle, event: E) {
         self.len += 1;
         let t = at.as_u64();
-        if t.wrapping_sub(self.cur) < WHEEL_SLOTS as u64 {
-            // In the live window (t >= cur holds: a smaller t would make
-            // the wrapping difference huge).
-            let slot = (t & WHEEL_MASK) as usize;
-            self.wheel[slot].push_back(event);
-            self.set_occupied(slot);
+        if t < self.cur {
+            self.heap_push(true, at, event);
+        } else if block(t) < self.coarse_base() + COARSE_BUCKETS {
+            self.link(t, event);
         } else {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let heap = if t < self.cur {
-                &mut self.past
-            } else {
-                &mut self.overflow
-            };
-            heap.push(Reverse(Entry { at, seq, event }));
+            self.heap_push(false, at, event);
         }
     }
 
-    /// The minimum occupied wheel cycle at or after `cur`, if any.
-    fn wheel_min(&self) -> Option<u64> {
-        let base = (self.cur & WHEEL_MASK) as usize;
-        // Scan `WHEEL_SLOTS` bits starting at `base`, wrapping. Slots
-        // before `base` hold cycles in the window's upper part.
-        let (bw, bb) = (base / 64, base % 64);
-        // First word: bits at or above the base bit.
-        let w = self.occupied[bw] & !((1u64 << bb) - 1);
-        if w != 0 {
-            return Some(self.slot_cycle(bw * 64 + w.trailing_zeros() as usize));
-        }
-        // Other occupied words, preferring those after `bw` (earlier in
-        // the wrapped scan order), located through the summary bitmap.
-        let others = self.summary & !(1 << bw);
-        if others != 0 {
-            let after = others & (!0u64 << (bw + 1));
-            let wi = if after != 0 {
-                after.trailing_zeros() as usize
-            } else {
-                others.trailing_zeros() as usize
-            };
-            let w = self.occupied[wi];
-            return Some(self.slot_cycle(wi * 64 + w.trailing_zeros() as usize));
-        }
-        // Wrapped back to the first word: bits below the base bit.
-        let w = self.occupied[bw] & ((1u64 << bb) - 1);
-        if w != 0 {
-            return Some(self.slot_cycle(bw * 64 + w.trailing_zeros() as usize));
-        }
-        None
+    fn heap_push(&mut self, past: bool, at: Cycle, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let heap = if past { &mut self.past } else { &mut self.far };
+        heap.push(Reverse(Entry { at, seq, event }));
     }
 
-    /// The absolute cycle a currently-occupied `slot` corresponds to:
-    /// the unique cycle in `[cur, cur + WHEEL_SLOTS)` with that residue.
+    /// Unlinks the head of fine slot `slot` and returns its event.
+    #[inline(always)]
+    fn take_fine(&mut self, slot: usize) -> E {
+        let idx = self.fine.lists[slot].head;
+        let node = &mut self.nodes[idx as usize];
+        let event = node.event.take().expect("linked node holds an event");
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = idx;
+        let list = &mut self.fine.lists[slot];
+        list.head = next;
+        if next == NIL {
+            list.tail = NIL;
+            self.fine.clear_bit(slot);
+        }
+        self.len -= 1;
+        event
+    }
+
+    /// The absolute cycle of an occupied fine `slot`: the unique cycle in
+    /// `[cur, cur + FINE_SLOTS)` with that residue.
     #[inline]
-    fn slot_cycle(&self, slot: usize) -> u64 {
-        let base = self.cur & !WHEEL_MASK;
-        let c = base + slot as u64;
-        if c >= self.cur {
-            c
-        } else {
-            c + WHEEL_SLOTS as u64
+    fn fine_cycle(&self, slot: usize) -> u64 {
+        self.cur + ((slot as u64).wrapping_sub(self.cur) & FINE_MASK)
+    }
+
+    /// The absolute block of an occupied coarse `bucket`.
+    #[inline]
+    fn coarse_block(&self, bucket: usize) -> u64 {
+        let base = self.coarse_base();
+        base + ((bucket as u64).wrapping_sub(base) & COARSE_MASK)
+    }
+
+    /// The earliest occupied fine slot, if any.
+    #[inline]
+    fn fine_min(&self) -> Option<usize> {
+        self.fine.first_from(fine_slot(self.cur))
+    }
+
+    /// The earliest occupied coarse bucket, if any.
+    fn coarse_min(&self) -> Option<usize> {
+        self.coarse
+            .first_from((self.coarse_base() & COARSE_MASK) as usize)
+    }
+
+    /// Moves the clock forward to `to`, which no pending event precedes.
+    ///
+    /// When `to` lies in a later block, the windows slide: coarse buckets
+    /// of blocks that enter the fine window cascade into fine slots, and
+    /// far events that the coarse window now covers are promoted. Both
+    /// happen before any later push can target the newly covered cycles,
+    /// which keeps every list in push order: a block's events sit in
+    /// exactly one level at a time, moves preserve list order (the far
+    /// heap yields its events in `(cycle, seq)` order), and everything
+    /// pushed directly into a level for a block was pushed after the
+    /// block entered that level.
+    #[inline]
+    fn advance(&mut self, to: u64) {
+        debug_assert!(to >= self.cur, "wheel clock moved backwards");
+        let old = block(self.cur);
+        self.cur = to;
+        if block(to) != old {
+            self.slide(old);
         }
     }
 
-    /// Moves overflow events that the advancing window now covers into
-    /// their wheel slots. Called whenever `cur` advances, *before* any
-    /// subsequent push could target the newly covered cycles — this is
-    /// what keeps every wheel slot in push order (promoted events always
-    /// carry smaller sequence numbers than any later push).
-    fn promote(&mut self) {
-        let horizon = self.cur + WHEEL_SLOTS as u64;
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            if e.at.as_u64() >= horizon {
-                break;
+    /// The window slide of [`EventQueue::advance`] from block `old` to
+    /// the block of the (already moved) clock.
+    #[inline(never)]
+    fn slide(&mut self, old: u64) {
+        let new = block(self.cur);
+        // Blocks entering the fine window that sat in the old coarse
+        // window; any skipped ones are empty (nothing precedes the clock).
+        let old_end = old + 2 + COARSE_BUCKETS;
+        for b in (old + 2).max(new)..(new + 2).min(old_end) {
+            let mut idx = self.coarse.take((b & COARSE_MASK) as usize).head;
+            while idx != NIL {
+                let node = &mut self.nodes[idx as usize];
+                debug_assert_eq!(block(node.at), b, "coarse bucket holds a foreign block");
+                let next = std::mem::replace(&mut node.next, NIL);
+                let slot = fine_slot(node.at);
+                append(&mut self.fine, &mut self.nodes, slot, idx);
+                idx = next;
             }
-            let Reverse(e) = self.overflow.pop().expect("peeked");
-            let slot = (e.at.as_u64() & WHEEL_MASK) as usize;
-            self.wheel[slot].push_back(e.event);
-            self.set_occupied(slot);
+        }
+        let horizon = (new + 2 + COARSE_BUCKETS) << BLOCK_BITS;
+        while self
+            .far
+            .peek()
+            .is_some_and(|Reverse(e)| e.at.as_u64() < horizon)
+        {
+            let Reverse(e) = self.far.pop().expect("peeked");
+            self.link(e.at.as_u64(), e.event);
         }
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        // Past events (earlier than the wheel window) always win.
-        if let Some(Reverse(e)) = self.past.pop() {
+        self.pop_due(Cycle(u64::MAX))
+    }
+
+    /// Removes and returns the earliest event if it is due, i.e.
+    /// scheduled at or before `deadline`; otherwise leaves the queue
+    /// untouched. One wheel scan per call, so a bounded event loop pays
+    /// nothing over `pop` for its deadline.
+    #[inline(always)]
+    pub fn pop_due(&mut self, deadline: Cycle) -> Option<(Cycle, E)> {
+        // Fast path: no past events and the slot at `cur` is occupied,
+        // so `cur` itself is the minimum — no bitmap scan. This is the
+        // common case while draining a same-cycle batch (lockstep phases
+        // park a whole core set on one cycle).
+        let slot = fine_slot(self.cur);
+        if self.past.is_empty() && self.fine.lists[slot].head != NIL {
+            if self.cur > deadline.as_u64() {
+                return None;
+            }
+            return Some((Cycle(self.cur), self.take_fine(slot)));
+        }
+        self.pop_scan(deadline.as_u64())
+    }
+
+    /// [`EventQueue::pop_due`] past its fast path: the past heap, then a
+    /// scan of the fine level, then jumps to coarse or far events.
+    #[inline(never)]
+    fn pop_scan(&mut self, limit: u64) -> Option<(Cycle, E)> {
+        // Past events (earlier than the wheel clock) always win.
+        if let Some(Reverse(e)) = self.past.peek() {
+            if e.at.as_u64() > limit {
+                return None;
+            }
+            let Reverse(e) = self.past.pop().expect("peeked");
             self.len -= 1;
             return Some((e.at, e.event));
         }
-        // Fast path: the slot at `cur` is occupied, so `cur` itself is
-        // the wheel minimum — no bitmap scan needed. This is the common
-        // case while draining a same-cycle batch (lockstep phases park
-        // a whole core set on one cycle), which would otherwise pay a
-        // full occupancy-word scan per event instead of per slot.
-        let base = (self.cur & WHEEL_MASK) as usize;
-        if self.occupied[base / 64] & 1 << (base % 64) != 0 {
-            let event = self.wheel[base].pop_front().expect("occupied slot");
-            if self.wheel[base].is_empty() {
-                self.clear_occupied(base);
+        loop {
+            if let Some(slot) = self.fine_min() {
+                let c = self.fine_cycle(slot);
+                if c > limit {
+                    return None;
+                }
+                self.advance(c);
+                return Some((Cycle(c), self.take_fine(slot)));
             }
-            self.len -= 1;
-            return Some((Cycle(self.cur), event));
+            // Fine level empty: jump to the start of the earliest coarse
+            // block (cascading it), or to the earliest far event
+            // (promoting it), and scan the fine level again.
+            let to = match self.coarse_min() {
+                Some(bucket) => self.coarse_block(bucket) << BLOCK_BITS,
+                None => self.far.peek()?.0.at.as_u64(),
+            };
+            if to > limit {
+                return None;
+            }
+            self.advance(to);
         }
-        if let Some(c) = self.wheel_min() {
-            let slot = (c & WHEEL_MASK) as usize;
-            if c != self.cur {
-                debug_assert!(c > self.cur, "wheel min behind cur");
-                self.cur = c;
-                self.promote();
-            }
-            let event = self.wheel[slot].pop_front().expect("occupied slot");
-            if self.wheel[slot].is_empty() {
-                self.clear_occupied(slot);
-            }
-            self.len -= 1;
-            return Some((Cycle(c), event));
-        }
-        // Wheel empty: jump to the overflow's earliest event.
-        let Reverse(e) = self.overflow.pop()?;
-        self.len -= 1;
-        self.cur = e.at.as_u64();
-        self.promote();
-        Some((e.at, e.event))
     }
 
     /// Returns the cycle of the earliest pending event without removing
     /// it.
     pub fn peek_cycle(&self) -> Option<Cycle> {
-        if let Some(Reverse(e)) = self.past.peek() {
-            return Some(e.at);
-        }
-        if let Some(c) = self.wheel_min() {
-            return Some(Cycle(c));
-        }
-        self.overflow.peek().map(|Reverse(e)| e.at)
+        self.peek().map(|(at, _)| at)
     }
 
     /// Returns the earliest pending event and its cycle without removing
@@ -301,18 +505,34 @@ impl<E> EventQueue<E> {
         if let Some(Reverse(e)) = self.past.peek() {
             return Some((e.at, &e.event));
         }
-        if let Some(c) = self.wheel_min() {
-            let slot = (c & WHEEL_MASK) as usize;
-            return Some((Cycle(c), self.wheel[slot].front().expect("occupied slot")));
+        if let Some(slot) = self.fine_min() {
+            return Some(self.node_event(self.fine.lists[slot].head));
         }
-        self.overflow.peek().map(|Reverse(e)| (e.at, &e.event))
+        if let Some(bucket) = self.coarse_min() {
+            // A bucket interleaves its block's cycles: the head is the
+            // first node of the smallest cycle.
+            let mut best = self.coarse.lists[bucket].head;
+            let mut idx = self.nodes[best as usize].next;
+            while idx != NIL {
+                let node = &self.nodes[idx as usize];
+                if node.at < self.nodes[best as usize].at {
+                    best = idx;
+                }
+                idx = node.next;
+            }
+            return Some(self.node_event(best));
+        }
+        self.far.peek().map(|Reverse(e)| (e.at, &e.event))
+    }
+
+    fn node_event(&self, idx: u32) -> (Cycle, &E) {
+        let node = &self.nodes[idx as usize];
+        let event = node.event.as_ref().expect("linked node holds an event");
+        (Cycle(node.at), event)
     }
 
     /// Removes and returns the earliest event only if it is scheduled
-    /// exactly at `at`; otherwise leaves the queue untouched. Batch
-    /// drains of one cycle's events cost one occupancy-bitmap scan for
-    /// the whole run of same-slot pops (see `pop`'s fast path), not one
-    /// scan per probe.
+    /// exactly at `at`; otherwise leaves the queue untouched.
     pub fn pop_at(&mut self, at: Cycle) -> Option<E> {
         match self.peek_cycle() {
             Some(c) if c == at => self.pop().map(|(_, e)| e),
@@ -330,18 +550,27 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
+    /// The events of one wheel list, front to back.
+    fn list_events(&self, list: List) -> impl Iterator<Item = (Cycle, &E)> {
+        std::iter::successors((list.head != NIL).then_some(list.head), |&idx| {
+            let next = self.nodes[idx as usize].next;
+            (next != NIL).then_some(next)
+        })
+        .map(|idx| self.node_event(idx))
+    }
+
     /// All pending events in exact pop order, without consuming them —
     /// the traversal a snapshot needs: re-`push`ing the returned
     /// sequence, in order, into a fresh queue reproduces this queue's
     /// pop order precisely.
     ///
     /// Correctness leans on the structure's time partition: every `past`
-    /// entry is earlier than `cur`, every wheel entry lies in
-    /// `[cur, cur + WHEEL_SLOTS)`, and every `overflow` entry at or past
-    /// the horizon — so the three regions concatenate. Within `past` and
-    /// `overflow` the `(at, seq)` entry order is the heap's pop order;
-    /// within the wheel, slots drain in `slot_cycle` order and each slot
-    /// front-to-back (push order).
+    /// entry is earlier than `cur`, fine events precede coarse events,
+    /// and coarse events precede `far` ones — so the four regions
+    /// concatenate. Within the heaps the `(at, seq)` entry order is the
+    /// pop order; fine slots drain in cycle order, each front to back;
+    /// a coarse bucket drains in cycle order with ties in list order
+    /// (a stable sort of the bucket by cycle).
     pub fn iter_ordered(&self) -> Vec<(Cycle, &E)> {
         let mut out: Vec<(Cycle, &E)> = Vec::with_capacity(self.len);
         fn heap_entries<'q, E>(
@@ -353,16 +582,18 @@ impl<E> EventQueue<E> {
             out.extend(sorted.into_iter().map(|e| (e.at, &e.event)));
         }
         heap_entries(&self.past, &mut out);
-        // Occupied wheel slots, earliest absolute cycle first.
-        let mut slots: Vec<usize> = (0..WHEEL_SLOTS)
-            .filter(|&s| self.occupied[s / 64] & (1 << (s % 64)) != 0)
-            .collect();
-        slots.sort_by_key(|&s| self.slot_cycle(s));
-        for s in slots {
-            let at = Cycle(self.slot_cycle(s));
-            out.extend(self.wheel[s].iter().map(|e| (at, e)));
+        let start = fine_slot(self.cur);
+        for i in 0..FINE_SLOTS {
+            out.extend(self.list_events(self.fine.lists[(start + i) % FINE_SLOTS]));
         }
-        heap_entries(&self.overflow, &mut out);
+        let start = (self.coarse_base() & COARSE_MASK) as usize;
+        for i in 0..COARSE_BUCKETS as usize {
+            let bucket = self.coarse.lists[(start + i) % COARSE_BUCKETS as usize];
+            let first = out.len();
+            out.extend(self.list_events(bucket));
+            out[first..].sort_by_key(|&(at, _)| at);
+        }
+        heap_entries(&self.far, &mut out);
         debug_assert_eq!(out.len(), self.len);
         out
     }
@@ -371,13 +602,12 @@ impl<E> EventQueue<E> {
     /// ordering guarantees still hold across the clear.
     pub fn clear(&mut self) {
         if self.len != 0 {
-            for slot in &mut self.wheel {
-                slot.clear();
-            }
-            self.occupied = [0; WHEEL_WORDS];
-            self.summary = 0;
+            self.nodes.clear();
+            self.free = NIL;
+            self.fine.clear();
+            self.coarse.clear();
             self.past.clear();
-            self.overflow.clear();
+            self.far.clear();
             self.len = 0;
         }
     }
@@ -519,7 +749,7 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_overflow_and_return() {
+    fn far_future_events_return_after_near_ones() {
         let mut q = EventQueue::new();
         q.push(Cycle(1_000_000), 'f');
         q.push(Cycle(3), 'n');
@@ -530,18 +760,62 @@ mod tests {
     }
 
     #[test]
-    fn overflow_promotion_preserves_fifo_with_later_pushes() {
+    fn cascade_preserves_fifo_with_later_pushes() {
         let mut q = EventQueue::new();
-        // 'a' starts beyond the horizon, in the overflow heap.
-        let far = Cycle(WHEEL_SLOTS as u64 + 100);
+        // 'a' starts two blocks ahead, in a coarse bucket.
+        let far = Cycle((2 << BLOCK_BITS) + 100);
         q.push(far, 'a');
-        q.push(Cycle(200), 'x');
-        // Popping 'x' advances the window over `far`, promoting 'a'.
-        assert_eq!(q.pop(), Some((Cycle(200), 'x')));
-        // 'b' lands in the same (now in-window) slot after promotion.
+        q.push(Cycle(1100), 'x');
+        // Popping 'x' moves the clock into block 1, cascading block 2
+        // (and 'a') into the fine slots.
+        assert_eq!(q.pop(), Some((Cycle(1100), 'x')));
+        // 'b' lands in the same (now fine) slot after the cascade.
         q.push(far, 'b');
         assert_eq!(q.pop(), Some((far, 'a')));
         assert_eq!(q.pop(), Some((far, 'b')));
+    }
+
+    #[test]
+    fn far_promotion_on_a_long_jump_preserves_fifo() {
+        let mut q = EventQueue::new();
+        // Beyond the coarse window (> 1026 blocks out): the far heap.
+        let far = Cycle(5_000 << BLOCK_BITS);
+        q.push(far, 'a');
+        q.push(far + 1, 'c');
+        q.push(far + (3 << BLOCK_BITS), 'd');
+        q.push(Cycle(7), 'x');
+        assert_eq!(q.pop(), Some((Cycle(7), 'x')));
+        // The empty wheel jumps straight to `far`, promoting all three.
+        assert_eq!(q.pop(), Some((far, 'a')));
+        q.push(far + 1, 'e');
+        assert_eq!(q.pop(), Some((far + 1, 'c')));
+        assert_eq!(q.pop(), Some((far + 1, 'e')));
+        assert_eq!(q.pop(), Some((far + (3 << BLOCK_BITS), 'd')));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn pop_due_leaves_late_events_in_place() {
+        let mut q = EventQueue::new();
+        q.push(Cycle(10), 'a');
+        q.push(Cycle(10), 'b');
+        q.push(Cycle(4_000), 'c');
+        q.push(Cycle(3_000_000), 'd');
+        assert_eq!(q.pop_due(Cycle(9)), None);
+        assert_eq!(q.pop_due(Cycle(10)), Some((Cycle(10), 'a')));
+        // A refused pop must not reorder 'b' behind later pushes.
+        assert_eq!(q.pop_due(Cycle(9)), None);
+        q.push(Cycle(10), 'e');
+        assert_eq!(q.pop_due(Cycle(10)), Some((Cycle(10), 'b')));
+        assert_eq!(q.pop_due(Cycle(10)), Some((Cycle(10), 'e')));
+        // Coarse and far heads are refused without moving the clock.
+        assert_eq!(q.pop_due(Cycle(3_999)), None);
+        q.push(Cycle(11), 'f');
+        assert_eq!(q.pop_due(Cycle(3_999)), Some((Cycle(11), 'f')));
+        assert_eq!(q.pop_due(Cycle(4_000)), Some((Cycle(4_000), 'c')));
+        assert_eq!(q.pop_due(Cycle(2_999_999)), None);
+        assert_eq!(q.pop_due(Cycle(3_000_000)), Some((Cycle(3_000_000), 'd')));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -591,12 +865,13 @@ mod tests {
     #[test]
     fn len_tracks_all_regions() {
         let mut q = EventQueue::new();
-        q.push(Cycle(5), 0u8); // wheel
-        q.push(Cycle(1_000_000), 1); // overflow
-        assert_eq!(q.len(), 2);
+        q.push(Cycle(5), 0u8); // fine
+        q.push(Cycle(100_000), 1); // coarse
+        q.push(Cycle(10_000_000), 2); // far
+        assert_eq!(q.len(), 3);
         q.pop();
-        q.push(Cycle(1), 2); // past (cur is now 5)
-        assert_eq!(q.len(), 2);
+        q.push(Cycle(1), 3); // past (cur is now 5)
+        assert_eq!(q.len(), 3);
         q.clear();
         assert_eq!(q.len(), 0);
         assert!(q.is_empty());
@@ -605,17 +880,21 @@ mod tests {
     #[test]
     fn iter_ordered_matches_pop_order_across_regions() {
         let mut q = EventQueue::new();
-        // Seed all three regions: advance cur to 500, then park events
-        // in the past, the wheel window, and the overflow.
+        // Seed all four regions: advance cur to 500, then park events
+        // in the past, the fine and coarse levels, and the far heap.
         q.push(Cycle(500), 0u32);
         assert_eq!(q.pop(), Some((Cycle(500), 0)));
         q.push(Cycle(100), 1); // past
         q.push(Cycle(100), 2); // past, FIFO after 1
-        q.push(Cycle(700), 3); // wheel
-        q.push(Cycle(501), 4); // wheel
-        q.push(Cycle(700), 5); // wheel, same slot FIFO after 3
-        q.push(Cycle(90_000), 6); // overflow
-        q.push(Cycle(5_000), 7); // overflow, pops before 6
+        q.push(Cycle(700), 3); // fine
+        q.push(Cycle(501), 4); // fine
+        q.push(Cycle(700), 5); // fine, same slot FIFO after 3
+        q.push(Cycle(90_000), 6); // coarse
+        q.push(Cycle(89_999), 7); // coarse, same bucket, pops before 6
+        q.push(Cycle(5_000), 8); // coarse, pops before 7
+        q.push(Cycle(90_000), 9); // coarse, FIFO after 6
+        q.push(Cycle(4_000_000), 10); // far
+        q.push(Cycle(2_000_000), 11); // far, pops before 10
         let snapshot: Vec<(Cycle, u32)> = q.iter_ordered().iter().map(|&(c, &e)| (c, e)).collect();
         // Re-pushing the snapshot into a fresh queue reproduces pop order.
         let mut rebuilt = EventQueue::new();

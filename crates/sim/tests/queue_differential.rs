@@ -2,7 +2,13 @@
 //! heap-based [`ReferenceEventQueue`] must behave identically under
 //! arbitrary interleavings of push/pop/clear — identical `(Cycle, id)`
 //! pop sequences (including same-cycle FIFO order and ordering across
-//! `clear`), identical lengths, identical `peek_cycle`s.
+//! `clear`), identical lengths, identical `peek_cycle`s. Deadline-bounded
+//! pops (`pop_due`) must match the reference's `peek_cycle()` + `pop()`,
+//! and `iter_ordered` must list the pending events in drain order.
+//!
+//! Pushes reach every region of the wheel: one-cycle slots (less than two
+//! blocks of 1024 cycles ahead), one-block buckets (up to ~1M cycles),
+//! the far heap beyond them, and the past heap.
 //!
 //! Failures shrink to a minimal op sequence; replay with
 //! `WISYNC_TESTKIT_SEED=<seed> cargo test -p wisync-sim`.
@@ -19,7 +25,14 @@ enum Op {
     Push {
         delta: u64,
     },
-    /// Push far beyond the wheel horizon (exercises the overflow heap).
+    /// Push at `offset - 4` cycles from the start of the block `blocks`
+    /// after the clock's, straddling the fine/coarse window edges.
+    PushEdge {
+        blocks: u64,
+        offset: u64,
+    },
+    /// Push beyond the fine window (coarse buckets, or the far heap for
+    /// deltas past ~1M cycles).
     PushFar {
         delta: u64,
     },
@@ -34,17 +47,35 @@ enum Op {
     PopAt {
         delta: u64,
     },
+    /// Pop only if the head is due by `last_pop + ahead - back` — the
+    /// machine's budget-bounded event loop, including a budget below the
+    /// clock.
+    PopDue {
+        ahead: u64,
+        back: u64,
+    },
     Clear,
 }
 
 fn op_gen() -> BoxedGen<Op> {
     gen::one_of(vec![
         // Dominant case: near-future pushes in the model's 0–1100 cycle
-        // latency range, straddling the 1024-slot wheel horizon.
+        // latency range, straddling the one-block fine-push fast path.
         gen::range(0u64..1100)
             .map(|delta| Op::Push { delta })
             .boxed(),
+        // Deltas straddling the two-block fine window's length.
+        gen::range(1990u64..2110)
+            .map(|delta| Op::Push { delta })
+            .boxed(),
+        (gen::range(1u64..4), gen::range(0u64..8))
+            .map(|(blocks, offset)| Op::PushEdge { blocks, offset })
+            .boxed(),
         gen::range(1_000u64..100_000)
+            .map(|delta| Op::PushFar { delta })
+            .boxed(),
+        // Past the coarse window (1024 blocks after the fine window).
+        gen::range(1_000_000u64..4_000_000)
             .map(|delta| Op::PushFar { delta })
             .boxed(),
         gen::range(0u64..50).map(|at| Op::PushAbs { at }).boxed(),
@@ -52,6 +83,12 @@ fn op_gen() -> BoxedGen<Op> {
         // Mostly delta 0 (hit the head: the machine's same-cycle batch
         // drain), sometimes a miss.
         gen::range(0u64..3).map(|delta| Op::PopAt { delta }).boxed(),
+        gen::range(0u64..3000)
+            .map(|ahead| Op::PopDue { ahead, back: 0 })
+            .boxed(),
+        gen::range(1u64..4)
+            .map(|back| Op::PopDue { ahead: 0, back })
+            .boxed(),
         gen::range(0u32..1).map(|_| Op::Clear).boxed(),
     ])
     .boxed()
@@ -67,6 +104,12 @@ fn queues_agree(ops: &[Op]) -> PropResult {
         match op {
             Op::Push { delta } | Op::PushFar { delta } => {
                 let at = Cycle(clock + delta);
+                wheel.push(at, next_id);
+                reference.push(at, next_id);
+                next_id += 1;
+            }
+            Op::PushEdge { blocks, offset } => {
+                let at = Cycle((((clock >> 10) + blocks) << 10) + offset - 4);
                 wheel.push(at, next_id);
                 reference.push(at, next_id);
                 next_id += 1;
@@ -94,6 +137,18 @@ fn queues_agree(ops: &[Op]) -> PropResult {
                     clock = at.as_u64();
                 }
             }
+            Op::PopDue { ahead, back } => {
+                let deadline = Cycle((clock + ahead).saturating_sub(back));
+                let got = wheel.pop_due(deadline);
+                let want = match reference.peek_cycle() {
+                    Some(c) if c <= deadline => reference.pop(),
+                    _ => None,
+                };
+                prop_assert_eq!(got, want, "pop_due mismatch at op {}", i);
+                if let Some((at, _)) = got {
+                    clock = at.as_u64();
+                }
+            }
             Op::Clear => {
                 wheel.clear();
                 reference.clear();
@@ -115,15 +170,27 @@ fn queues_agree(ops: &[Op]) -> PropResult {
         prop_assert_eq!(wheel.is_empty(), reference.is_empty());
     }
 
+    // `iter_ordered` lists the pending events in drain order, and
+    // re-pushing that list into a fresh queue reproduces it.
+    let listed: Vec<(Cycle, u32)> = wheel.iter_ordered().iter().map(|&(c, &e)| (c, e)).collect();
+    let mut rebuilt: EventQueue<u32> = EventQueue::new();
+    for &(at, e) in &listed {
+        rebuilt.push(at, e);
+    }
+
     // Drain: the tails must match exactly too.
+    let mut drained = Vec::new();
     loop {
         let got = wheel.pop();
         let want = reference.pop();
         prop_assert_eq!(got, want, "drain mismatch");
-        if got.is_none() {
-            break;
+        prop_assert_eq!(rebuilt.pop(), want, "rebuilt drain mismatch");
+        match got {
+            Some(ev) => drained.push(ev),
+            None => break,
         }
     }
+    prop_assert_eq!(listed, drained, "iter_ordered differs from drain order");
     Ok(())
 }
 
@@ -140,7 +207,7 @@ fn wheel_matches_reference_heap_on_arbitrary_interleavings() {
 /// Pinned corner cases: shapes the generator may take a while to hit.
 #[test]
 fn pinned_corner_interleavings() {
-    use Op::{Clear, Pop, PopAt, Push, PushAbs, PushFar};
+    use Op::{Clear, Pop, PopAt, PopDue, Push, PushAbs, PushEdge, PushFar};
     let cases: Vec<Vec<Op>> = vec![
         // pop_at hitting the head mid-slot-drain (same-cycle FIFO), then a
         // miss one cycle later, then a hit after a plain pop re-anchors.
@@ -206,6 +273,87 @@ fn pinned_corner_interleavings() {
             Pop,
             Pop,
             Pop,
+        ],
+        // Coarse→fine cascade followed by a same-cycle push: cycle 2148
+        // (block 2) waits in a coarse bucket until popping cycle 1100
+        // moves the clock into block 1; the later push at 2148 must pop
+        // after the cascaded event.
+        vec![
+            Push { delta: 2148 },
+            Push { delta: 1100 },
+            Pop,
+            Push { delta: 1048 },
+            Pop,
+            Pop,
+            Pop,
+        ],
+        // Far-heap promotion on a jump of more than 1024 blocks: the empty
+        // wheel jumps from cycle 5 to 3M, promoting both far events, and a
+        // same-cycle push after the jump pops behind them.
+        vec![
+            PushFar { delta: 3_000_000 },
+            PushFar { delta: 3_000_000 },
+            PushFar { delta: 3_001_500 },
+            Push { delta: 5 },
+            Pop,
+            PopDue {
+                ahead: 2_000,
+                back: 0,
+            },
+            Pop,
+            Push { delta: 0 },
+            Push { delta: 1_500 },
+            Pop,
+            Pop,
+            Pop,
+        ],
+        // Far-heap promotion on a one-block slide: cycle 1026 · 1024 sits
+        // just past the coarse window until popping cycle 1100 slides it
+        // in; a later same-cycle push lands in the coarse bucket behind it.
+        vec![
+            PushFar { delta: 1_050_624 },
+            Push { delta: 1100 },
+            Pop,
+            PushFar {
+                delta: 1_050_624 - 1100,
+            },
+            Pop,
+            Pop,
+        ],
+        // A budget below the clock refuses the head even when it sits
+        // in the clock's own slot.
+        vec![
+            Push { delta: 5 },
+            Push { delta: 5 },
+            Pop,
+            PopDue { ahead: 0, back: 1 },
+            Pop,
+        ],
+        // `iter_ordered` across all four regions: past heap, fine slots,
+        // a coarse bucket interleaving cycles, and the far heap (the
+        // checker compares the listing with the drain).
+        vec![
+            Push { delta: 500 },
+            Pop,
+            PushAbs { at: 3 },
+            PushAbs { at: 2 },
+            Push { delta: 10 },
+            Push { delta: 1_600 },
+            PushEdge {
+                blocks: 2,
+                offset: 3,
+            },
+            PushEdge {
+                blocks: 2,
+                offset: 5,
+            },
+            PushEdge {
+                blocks: 2,
+                offset: 3,
+            },
+            PushFar { delta: 50_000 },
+            PushFar { delta: 2_000_000 },
+            PushFar { delta: 1_500_000 },
         ],
     ];
     for ops in cases {

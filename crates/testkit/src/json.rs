@@ -133,6 +133,7 @@ impl Json {
     /// [`Json::get`]).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             at: 0,
         };
@@ -182,6 +183,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -329,17 +331,18 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
+                Some(c) if c < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one go. All three stops are ASCII,
+                    // so the run ends on a character boundary of the
+                    // `&str` input.
+                    let run = self.bytes[self.at..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |n| self.at + n);
+                    out.push_str(&self.text[self.at..run]);
+                    self.at = run;
                 }
             }
         }
@@ -518,6 +521,29 @@ mod tests {
             Json::parse("\"\\ud83d\\ude00\"").unwrap(),
             Json::Str("😀".to_string())
         );
+    }
+
+    #[test]
+    fn parse_copies_string_runs_around_escapes() {
+        // Multi-byte characters directly before and after escapes.
+        assert_eq!(
+            Json::parse("\"é\\n😀\\\"ß\\u00e9Ω\\t\"").unwrap(),
+            Json::Str("é\n😀\"ßéΩ\t".to_string())
+        );
+        // A long value: one run per escape, not one step per character.
+        let long: String = "añb😀".repeat(20_000);
+        let doc = format!("{{\"k\": \"{long}\\n{long}\"}}");
+        let want = format!("{long}\n{long}");
+        assert_eq!(Json::parse(&doc).unwrap().get("k"), Some(&Json::Str(want)));
+        // Errors keep their offsets: at the control byte, and at the end
+        // of an unterminated string.
+        let err = Json::parse("\"aé\u{1}b\"").unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.at),
+            ("unescaped control character", 4)
+        );
+        let err = Json::parse("\"aé😀").unwrap_err();
+        assert_eq!((err.message.as_str(), err.at), ("unterminated string", 8));
     }
 
     #[test]
